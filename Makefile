@@ -38,14 +38,16 @@ bench-json:
 	$(GO) run ./cmd/benchjson -baseline BENCH_PR8_BASELINE.txt < $(BENCHOUT) > BENCH_PR8.json
 	@echo "wrote BENCH_PR8.json"
 
-# CPU + heap profile of one big saturated point (a 32x32 mesh), the workload
-# the intra-fabric worker pool targets. Inspect with:
+# CPU + heap profile of one big saturated point: the 32x32 mesh at rate 0.05
+# with the windows of the quarcperf big-point workload, i.e. the regime its
+# sim_cycles_per_s gate measures (switch arbitration, the step pool,
+# saturation batching, blocked sleep). Inspect with:
 #   go tool pprof $(PROFDIR)/cpu.pprof
 PROFDIR ?= /tmp/quarc-prof
 profile: build
 	@mkdir -p $(PROFDIR)
-	$(GO) run ./cmd/quarcsim -topo mesh -n 1024 -m 16 -beta 0 -rate 0.02 \
-		-warmup 200 -cycles 2000 -drain 20000 \
+	$(GO) run ./cmd/quarcsim -topo mesh -n 1024 -m 16 -beta 0 -rate 0.05 \
+		-warmup 100 -cycles 400 -drain 500 \
 		-cpuprofile $(PROFDIR)/cpu.pprof -memprofile $(PROFDIR)/mem.pprof
 	@echo "profiles in $(PROFDIR)"
 

@@ -241,32 +241,48 @@ func BenchmarkFabricStepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPointN1024Saturated runs the tentpole workload end to end: one
-// saturated 1024-node mesh design point, serial versus the automatic
-// intra-point pool. This is the "one big point" regime where sweep-level
-// parallelism has nothing to fan out and only intra-fabric sharding helps.
+// BenchmarkPointN1024Saturated runs one big design point end to end: a
+// saturated 1024-node mesh, serial versus the automatic intra-point pool —
+// the "one big point" regime where sweep-level parallelism has nothing to
+// fan out and only the switch datapath and intra-fabric sharding help — and
+// the stable 1024-node torus point that follows it in the big-point
+// benchmark workload (rate 0.004), where activity stepping and blocked sleep
+// matter as much as arbitration. Each reports simulated cycles per second
+// alongside ns/op.
 func BenchmarkPointN1024Saturated(b *testing.B) {
+	mesh := quarc.Config{
+		Model: "mesh", N: 1024, MsgLen: 16, Rate: 0.05,
+		Warmup: 100, Measure: 400, Drain: 500, Depth: 4, Seed: 13,
+	}
+	torus := quarc.Config{
+		Model: "torus", N: 1024, MsgLen: 16, Rate: 0.004,
+		Warmup: 200, Measure: 800, Drain: 3000, Depth: 4, Seed: 13,
+	}
 	for _, bench := range []struct {
 		name        string
+		cfg         quarc.Config
 		stepWorkers int
+		saturated   bool
 	}{
-		{"serial", 1},
-		{"auto", 0},
+		{"serial", mesh, 1, true},
+		{"auto", mesh, 0, true},
+		{"torus-stable", torus, 0, false},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
+			cfg := bench.cfg
+			cfg.StepWorkers = bench.stepWorkers
+			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := quarc.Run(quarc.Config{
-					Model: "mesh", N: 1024, MsgLen: 16, Rate: 0.05,
-					Warmup: 100, Measure: 400, Drain: 500, Depth: 4, Seed: 13,
-					StepWorkers: bench.stepWorkers,
-				})
+				res, err := quarc.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !res.Saturated {
-					b.Fatal("N=1024 point did not saturate")
+				if res.Saturated != bench.saturated {
+					b.Fatalf("%s N=1024 point: saturated=%v, want %v", cfg.Model, res.Saturated, bench.saturated)
 				}
+				cycles += res.Cycles
 			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 		})
 	}
 }

@@ -25,6 +25,7 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"quarc/internal/topology"
 )
@@ -59,49 +60,68 @@ type endpoints struct {
 	sharedEject bool
 }
 
-// analyze runs the generic channel-level model.
-func analyze(n, msgLen int, lambda float64, numChannels int, paths pathFunc, ep endpoints) Prediction {
-	if msgLen < 2 {
-		panic("analytic: message length must be at least 2")
-	}
-	count := make([]float64, numChannels) // pair traversals per channel
-	totHops := 0
-	pairs := 0
+// profile is the load-independent half of the channel-level model: how many
+// source/destination pairs route over each channel. Every prediction for a
+// topology is a function of its profile, the message length and the load,
+// so the O(N^2 x hops) path enumeration runs once per topology (see
+// profileFor) rather than once per prediction.
+type profile struct {
+	count        []float64 // pair traversals per channel
+	totHops      int
+	pairs        int
+	maxTraversal float64
+}
+
+// traverse enumerates every route of an n-node topology.
+func traverse(n, numChannels int, paths pathFunc) *profile {
+	p := &profile{count: make([]float64, numChannels)}
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			p := paths(s, d)
-			totHops += len(p)
-			pairs++
-			for _, ch := range p {
-				count[ch]++
+			path := paths(s, d)
+			p.totHops += len(path)
+			p.pairs++
+			for _, ch := range path {
+				p.count[ch]++
 			}
 		}
 	}
-	avgHops := float64(totHops) / float64(pairs)
+	for _, c := range p.count {
+		if c > p.maxTraversal {
+			p.maxTraversal = c
+		}
+	}
+	return p
+}
+
+// analyze runs the generic channel-level model over a traversal profile.
+func analyze(n, msgLen int, lambda float64, prof *profile, ep endpoints) Prediction {
+	if msgLen < 2 {
+		panic("analytic: message length must be at least 2")
+	}
+	avgHops := float64(prof.totHops) / float64(prof.pairs)
 
 	// Channel message rate: each node offers lambda msgs/cycle uniformly
-	// over n-1 destinations.
+	// over n-1 destinations. Each channel's M/D/1 wait is paid once per
+	// pair routed over it, so the pair-summed path waiting is the
+	// traversal-weighted sum of channel waits.
 	svc := float64(msgLen) // flit-cycles a message occupies a channel
-	rho := make([]float64, numChannels)
-	wait := make([]float64, numChannels)
-	maxUtil, maxTraversal := 0.0, 0.0
-	for ch := range count {
-		rate := lambda * count[ch] / float64(n-1)
-		rho[ch] = rate * svc
-		if rho[ch] > maxUtil {
-			maxUtil = rho[ch]
+	maxUtil, pathWait := 0.0, 0.0
+	for _, c := range prof.count {
+		if c == 0 {
+			continue // on no route: contributes neither load nor waiting
 		}
-		if count[ch] > maxTraversal {
-			maxTraversal = count[ch]
+		rho := lambda * c / float64(n-1) * svc
+		if rho > maxUtil {
+			maxUtil = rho
 		}
-		if rho[ch] < 1 {
+		if rho < 1 {
 			// M/D/1 mean waiting time: rho * S / (2 (1 - rho)).
-			wait[ch] = rho[ch] * svc / (2 * (1 - rho[ch]))
+			pathWait += c * (rho * svc / (2 * (1 - rho)))
 		} else {
-			wait[ch] = math.Inf(1)
+			pathWait = math.Inf(1)
 		}
 	}
 
@@ -122,33 +142,119 @@ func analyze(n, msgLen int, lambda float64, numChannels int, paths pathFunc, ep 
 
 	// Mean latency over pairs: endpoint waiting + hops + M + per-channel
 	// waiting along the path.
-	var latSum float64
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			p := paths(s, d)
-			l := endpointWait + float64(len(p)) + float64(msgLen)
-			for _, ch := range p {
-				l += wait[ch]
-			}
-			latSum += l
-		}
-	}
+	pairs := float64(prof.pairs)
+	latSum := pairs*(endpointWait+float64(msgLen)) + float64(prof.totHops) + pathWait
 
 	sat := math.Inf(1)
-	if maxTraversal > 0 {
-		sat = float64(n-1) / (maxTraversal * svc)
+	if prof.maxTraversal > 0 {
+		sat = float64(n-1) / (prof.maxTraversal * svc)
 	}
 	return Prediction{
 		N: n, MsgLen: msgLen, Lambda: lambda,
 		AvgHops:         avgHops,
 		ZeroLoadLatency: avgHops + float64(msgLen),
-		MeanLatency:     latSum / float64(pairs),
+		MeanLatency:     latSum / pairs,
 		MaxChannelUtil:  maxUtil,
 		SaturationRate:  sat,
 	}
+}
+
+// Topology families with a traversal profile.
+const (
+	famQuarc = iota
+	famSpidergon
+	famMesh
+	famTorus
+)
+
+// profileKey names one topology instance: the family and its dimensions
+// (w = N, h = 0 for the rings).
+type profileKey struct {
+	fam  int
+	w, h int
+}
+
+// maxProfiles bounds the profile memo. A profile costs 8 bytes per channel
+// (32 KiB at N = 1024), and the serving layer asks about a handful of
+// topologies at a time.
+const maxProfiles = 32
+
+// profiles memoizes traversal profiles. It never changes a result — a
+// profile is a pure function of its key — only how often the enumeration
+// runs; entries are evicted oldest first.
+var profiles struct {
+	sync.Mutex
+	m     map[profileKey]*profile
+	order []profileKey
+}
+
+// profileFor returns the memoized profile of k, enumerating it on a miss.
+// The enumeration runs outside the lock, so concurrent first requests may
+// both compute it; they agree, and the first insert wins.
+func profileFor(k profileKey) *profile {
+	profiles.Lock()
+	p := profiles.m[k]
+	profiles.Unlock()
+	if p != nil {
+		return p
+	}
+	p = buildProfile(k)
+	profiles.Lock()
+	defer profiles.Unlock()
+	if q := profiles.m[k]; q != nil {
+		return q
+	}
+	if profiles.m == nil {
+		profiles.m = make(map[profileKey]*profile)
+	}
+	if len(profiles.order) == maxProfiles {
+		delete(profiles.m, profiles.order[0])
+		profiles.order = append(profiles.order[:0], profiles.order[1:]...)
+	}
+	profiles.m[k] = p
+	profiles.order = append(profiles.order, k)
+	return p
+}
+
+// buildProfile enumerates the routes of topology k. Dimensions are
+// validated by the exported entry points before any profile is requested.
+func buildProfile(k profileKey) *profile {
+	switch k.fam {
+	case famQuarc, famSpidergon:
+		n := k.w
+		route := topology.QuarcRouteChannels
+		if k.fam == famSpidergon {
+			route = topology.SpidergonRouteChannels
+		}
+		return traverse(n, 5*n, func(s, d int) []int {
+			chs := route(n, s, d)
+			ids := make([]int, len(chs))
+			for i, c := range chs {
+				ids[i] = ringChannelID(n, c)
+			}
+			return ids
+		})
+	case famMesh, famTorus:
+		m, err := topology.NewMesh(k.w, k.h, k.fam == famTorus)
+		if err != nil {
+			panic(fmt.Sprintf("analytic: %v", err))
+		}
+		n := m.N()
+		// Channel id: direction(4) * n + from-node. One path buffer serves
+		// every pair: traverse consumes a path before asking for the next.
+		var ids []int
+		return traverse(n, 4*n, func(s, d int) []int {
+			ids = ids[:0]
+			cur := s
+			for cur != d {
+				dir, next := m.Step(cur, d)
+				ids = append(ids, int(dir)*n+cur)
+				cur = next
+			}
+			return ids
+		})
+	}
+	panic(fmt.Sprintf("analytic: unknown topology family %d", k.fam))
 }
 
 // channel id packing for the ring topologies: kind*N + from.
@@ -162,14 +268,8 @@ func QuarcUniform(n, msgLen int, lambda float64) Prediction {
 	if err := topology.ValidateRingSize(n); err != nil {
 		panic(fmt.Sprintf("analytic: %v", err))
 	}
-	return analyze(n, msgLen, lambda, 5*n, func(s, d int) []int {
-		chs := topology.QuarcRouteChannels(n, s, d)
-		ids := make([]int, len(chs))
-		for i, c := range chs {
-			ids[i] = ringChannelID(n, c)
-		}
-		return ids
-	}, endpoints{injChannels: 4, sharedEject: false})
+	return analyze(n, msgLen, lambda, profileFor(profileKey{fam: famQuarc, w: n}),
+		endpoints{injChannels: 4, sharedEject: false})
 }
 
 // SpidergonUniform predicts uniform-traffic unicast behaviour of an n-node
@@ -178,35 +278,22 @@ func SpidergonUniform(n, msgLen int, lambda float64) Prediction {
 	if err := topology.ValidateRingSize(n); err != nil {
 		panic(fmt.Sprintf("analytic: %v", err))
 	}
-	return analyze(n, msgLen, lambda, 5*n, func(s, d int) []int {
-		chs := topology.SpidergonRouteChannels(n, s, d)
-		ids := make([]int, len(chs))
-		for i, c := range chs {
-			ids[i] = ringChannelID(n, c)
-		}
-		return ids
-	}, endpoints{injChannels: 1, sharedEject: true})
+	return analyze(n, msgLen, lambda, profileFor(profileKey{fam: famSpidergon, w: n}),
+		endpoints{injChannels: 1, sharedEject: true})
 }
 
 // MeshUniform predicts uniform-traffic unicast behaviour of a w x h mesh
 // (or torus) under XY routing.
 func MeshUniform(w, h, msgLen int, lambda float64, torus bool) Prediction {
-	m, err := topology.NewMesh(w, h, torus)
-	if err != nil {
+	if _, err := topology.NewMesh(w, h, torus); err != nil {
 		panic(fmt.Sprintf("analytic: %v", err))
 	}
-	n := m.N()
-	// Channel id: direction(4) * n + from-node.
-	return analyze(n, msgLen, lambda, 4*n, func(s, d int) []int {
-		var ids []int
-		cur := s
-		for cur != d {
-			dir, next := m.Step(cur, d)
-			ids = append(ids, int(dir)*n+cur)
-			cur = next
-		}
-		return ids
-	}, endpoints{injChannels: 1, sharedEject: true})
+	fam := famMesh
+	if torus {
+		fam = famTorus
+	}
+	return analyze(w*h, msgLen, lambda, profileFor(profileKey{fam: fam, w: w, h: h}),
+		endpoints{injChannels: 1, sharedEject: true})
 }
 
 // ForModel dispatches to the closed-form uniform-unicast model of a

@@ -3,6 +3,7 @@ package analytic
 import (
 	"math"
 	"testing"
+	"time"
 
 	"quarc/internal/topology"
 )
@@ -139,5 +140,150 @@ func TestBadInputsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// refMeanLatency is the per-pair form of the latency model: enumerate every
+// route and add the waits of its channels one by one. analyze computes the
+// same sum from the traversal profile.
+func refMeanLatency(k profileKey, msgLen int, lambda float64, ep endpoints) float64 {
+	prof := buildProfile(k)
+	n := k.w
+	if k.fam == famMesh || k.fam == famTorus {
+		n = k.w * k.h
+	}
+	svc := float64(msgLen)
+	md1 := func(rate float64) float64 {
+		r := rate * svc
+		if r >= 1 {
+			return math.Inf(1)
+		}
+		return r * svc / (2 * (1 - r))
+	}
+	wait := make([]float64, len(prof.count))
+	for ch, c := range prof.count {
+		wait[ch] = md1(lambda * c / float64(n-1))
+	}
+	endpointWait := md1(lambda / float64(ep.injChannels))
+	if ep.sharedEject {
+		endpointWait += md1(lambda)
+	}
+	var paths pathFunc
+	switch k.fam {
+	case famQuarc, famSpidergon:
+		route := topology.QuarcRouteChannels
+		if k.fam == famSpidergon {
+			route = topology.SpidergonRouteChannels
+		}
+		paths = func(s, d int) []int {
+			var ids []int
+			for _, c := range route(n, s, d) {
+				ids = append(ids, ringChannelID(n, c))
+			}
+			return ids
+		}
+	default:
+		m, _ := topology.NewMesh(k.w, k.h, k.fam == famTorus)
+		paths = func(s, d int) []int {
+			var ids []int
+			for cur := s; cur != d; {
+				dir, next := m.Step(cur, d)
+				ids = append(ids, int(dir)*n+cur)
+				cur = next
+			}
+			return ids
+		}
+	}
+	latSum, pairs := 0.0, 0
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			p := paths(s, d)
+			l := endpointWait + float64(len(p)) + svc
+			for _, ch := range p {
+				l += wait[ch]
+			}
+			latSum += l
+			pairs++
+		}
+	}
+	return latSum / float64(pairs)
+}
+
+// Memoized predictions are bit-identical to a fresh enumeration for every
+// model and load, and agree with the per-pair latency sum to rounding.
+func TestMemoizedPredictionsMatchFreshAnalysis(t *testing.T) {
+	cases := []struct {
+		model string
+		n     int
+		k     profileKey
+		ep    endpoints
+	}{
+		{"quarc", 32, profileKey{fam: famQuarc, w: 32}, endpoints{injChannels: 4}},
+		{"quarc-1queue", 64, profileKey{fam: famQuarc, w: 64}, endpoints{injChannels: 4}},
+		{"spidergon", 32, profileKey{fam: famSpidergon, w: 32}, endpoints{injChannels: 1, sharedEject: true}},
+		{"mesh", 64, profileKey{fam: famMesh, w: 8, h: 8}, endpoints{injChannels: 1, sharedEject: true}},
+		{"torus", 64, profileKey{fam: famTorus, w: 8, h: 8}, endpoints{injChannels: 1, sharedEject: true}},
+	}
+	for _, c := range cases {
+		for _, lam := range []float64{0, 0.001, 0.004, 0.01, 0.05} {
+			for pass := 0; pass < 2; pass++ { // miss, then hit
+				got, ok := ForModel(c.model, c.n, 16, lam)
+				if !ok {
+					t.Fatalf("%s n=%d: no model", c.model, c.n)
+				}
+				want := analyze(c.n, 16, lam, buildProfile(c.k), c.ep)
+				if got != want && !(math.IsNaN(got.MeanLatency) && math.IsNaN(want.MeanLatency)) {
+					t.Fatalf("%s n=%d rate=%v pass %d: memoized %+v != fresh %+v",
+						c.model, c.n, lam, pass, got, want)
+				}
+			}
+			got, _ := ForModel(c.model, c.n, 16, lam)
+			ref := refMeanLatency(c.k, 16, lam, c.ep)
+			if math.IsInf(ref, 1) {
+				if !math.IsInf(got.MeanLatency, 1) {
+					t.Fatalf("%s rate=%v: latency %v, per-pair sum diverges", c.model, lam, got.MeanLatency)
+				}
+				continue
+			}
+			if d := math.Abs(got.MeanLatency-ref) / ref; d > 1e-12 {
+				t.Fatalf("%s rate=%v: latency %v vs per-pair sum %v (rel %g)",
+					c.model, lam, got.MeanLatency, ref, d)
+			}
+		}
+	}
+}
+
+// A repeat prediction for a 1024-node topology reuses the memoized profile
+// instead of re-enumerating a million routes.
+func TestRepeatLargePredictionIsCheap(t *testing.T) {
+	for _, model := range []string{"mesh", "torus"} {
+		first, ok := ForModel(model, 1024, 16, 0.004)
+		if !ok {
+			t.Fatalf("%s: no model at N=1024", model)
+		}
+		start := time.Now()
+		again, _ := ForModel(model, 1024, 16, 0.004)
+		if el := time.Since(start); el > 10*time.Millisecond {
+			t.Errorf("%s N=1024 repeat prediction took %v, want well under 10ms", model, el)
+		}
+		if again != first {
+			t.Errorf("%s: repeat prediction %+v != first %+v", model, again, first)
+		}
+	}
+}
+
+// The memo stays bounded, evicting its oldest profiles.
+func TestProfileMemoIsBounded(t *testing.T) {
+	for h := 2; h < maxProfiles+6; h++ {
+		MeshUniform(2, h, 4, 0.001, false)
+	}
+	profiles.Lock()
+	size, order := len(profiles.m), len(profiles.order)
+	profiles.Unlock()
+	if size > maxProfiles || order != size {
+		t.Fatalf("memo holds %d entries (%d in eviction order), bound %d", size, order, maxProfiles)
 	}
 }

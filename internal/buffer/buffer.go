@@ -5,8 +5,12 @@
 // The FIFO exposes the same observable signals the hardware buffer drives:
 // Full (used to build the CH_STATUS_N channel-status signal sent back to the
 // upstream node) and Empty (which activates the VC arbiter). It is a plain
-// ring buffer storing flits by value to keep the simulator allocation-free on
-// the hot path.
+// ring over flit slots. The storage is provided by the caller (Make), so a
+// switch can carve all of its lanes from one contiguous slab and keep the
+// FIFO headers inline in its lane records; New allocates private storage for
+// a standalone FIFO. Flits are written and consumed in place — PushPtr copies
+// a flit into its slot, Head exposes the head slot by pointer and Drop
+// retires it — so the datapath copies a flit once per hop.
 package buffer
 
 import (
@@ -15,20 +19,33 @@ import (
 	"quarc/internal/flit"
 )
 
-// FIFO is a fixed-capacity flit queue. Construct with New.
+// FIFO is a fixed-capacity flit queue over caller-provided slots. Construct
+// with Make or New.
 type FIFO struct {
 	buf  []flit.Flit
 	head int
 	size int
 }
 
-// New returns a FIFO with the given capacity (depth in flits). Depth must be
-// positive.
+// Make returns an empty FIFO whose slots are buf; its capacity is len(buf).
+// The FIFO owns buf from then on: buf must not overlap any other FIFO's
+// storage, and callers carving several FIFOs from one slab should pass
+// full-slice expressions (slab[lo:hi:hi]).
+func Make(buf []flit.Flit) FIFO {
+	if len(buf) == 0 {
+		panic("buffer: FIFO needs at least one slot")
+	}
+	return FIFO{buf: buf}
+}
+
+// New returns a FIFO with its own storage of the given capacity (depth in
+// flits). Depth must be positive.
 func New(depth int) *FIFO {
 	if depth <= 0 {
 		panic(fmt.Sprintf("buffer: non-positive depth %d", depth))
 	}
-	return &FIFO{buf: make([]flit.Flit, depth)}
+	q := Make(make([]flit.Flit, depth))
+	return &q
 }
 
 // Cap returns the capacity in flits.
@@ -46,35 +63,50 @@ func (q *FIFO) Empty() bool { return q.size == 0 }
 // Full mirrors the hardware full signal.
 func (q *FIFO) Full() bool { return q.size == len(q.buf) }
 
-// Push appends a flit. It reports false (and stores nothing) when full; the
-// hardware equivalent is a write-enable gated by the full signal.
-func (q *FIFO) Push(f flit.Flit) bool {
-	if q.Full() {
+// PushPtr copies *f into the tail slot. It reports false (and stores
+// nothing) when full; the hardware equivalent is a write-enable gated by the
+// full signal.
+//
+//quarc:hotpath
+func (q *FIFO) PushPtr(f *flit.Flit) bool {
+	if q.size == len(q.buf) {
 		return false
 	}
-	q.buf[(q.head+q.size)%len(q.buf)] = f
+	i := q.head + q.size
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = *f
 	q.size++
 	return true
 }
 
-// Peek returns the head flit without removing it. ok is false when empty.
-func (q *FIFO) Peek() (f flit.Flit, ok bool) {
+// Head returns a pointer to the head slot, or nil when the FIFO is empty.
+// The pointer stays valid (and its flit unchanged) until the next Drop or
+// Reset; pushes never overwrite a live slot.
+//
+//quarc:hotpath
+func (q *FIFO) Head() *flit.Flit {
 	if q.size == 0 {
-		return flit.Flit{}, false
+		return nil
 	}
-	return q.buf[q.head], true
+	return &q.buf[q.head]
 }
 
-// Pop removes and returns the head flit. ok is false when empty.
-func (q *FIFO) Pop() (f flit.Flit, ok bool) {
+// Drop retires the head flit in place: the slot is neither copied out nor
+// cleared (flits hold no pointers, and a later push overwrites it). It
+// panics on an empty FIFO, which only a desynchronised caller can produce.
+//
+//quarc:hotpath
+func (q *FIFO) Drop() {
 	if q.size == 0 {
-		return flit.Flit{}, false
+		panic("buffer: Drop on empty FIFO")
 	}
-	f = q.buf[q.head]
-	q.buf[q.head] = flit.Flit{}
-	q.head = (q.head + 1) % len(q.buf)
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.size--
-	return f, true
 }
 
 // Snapshot returns a copy of the buffered flits in queue order (head

@@ -5,10 +5,14 @@
 // A wormhole packet is a sequence of flits: one header, zero or more body
 // flits, and one tail. On the wire a flit is 34 bits: a 32-bit payload plus
 // the 2-bit flit type added by the transceiver's write controller (§2.4).
-// Header flits carry the traffic type in their top 3 bits. The simulator
-// moves Flit structs (which carry bookkeeping such as generation timestamps)
-// but the 34-bit wire encoding is implemented and tested so that the format
-// is a faithful, executable specification.
+// Header flits carry the traffic type in their top 3 bits.
+//
+// Two representations coexist. The simulator moves Flit structs, which carry
+// bookkeeping such as generation timestamps and are laid out for the host: a
+// Flit is exactly one 64-byte cache line, with node ids, sequence numbers and
+// lengths as int32. The 34-bit wire encoding (wire.go) is unaffected by that
+// layout; it is implemented and fuzzed so that the paper's format is a
+// faithful, executable specification.
 package flit
 
 import "fmt"
@@ -65,21 +69,27 @@ func (t Traffic) String() string {
 // Flit is the unit moved by the fabric. Fields beyond the wire format
 // (MsgID, timestamps, chain bookkeeping) are simulator-side metadata the
 // hardware would keep in per-packet state or derive from the payload.
+//
+// The in-simulator layout is sized to one 64-byte cache line: the small
+// integer fields are int32 and the fields are ordered widest first, so a
+// flit copy compiles to a few inline moves rather than a bulk-copy call, and
+// a lane slot or a queued flit never straddles two lines. The wire format is
+// independent of this layout (see wire.go).
 type Flit struct {
-	Kind    Kind
-	Traffic Traffic // valid on header flits
-	Src     int     // source node (header)
-	Dst     int     // destination node: for broadcast/multicast branches this
+	PktID uint64 // unique per packet (per broadcast branch)
+	MsgID uint64 // unique per message (shared by branches of a broadcast)
+	Bits  uint64 // multicast bitstring: bit i = node at hop distance i+1 is a target
+	Gen   int64  // cycle the message was generated (for latency stats)
+	Src   int32  // source node (header)
+	Dst   int32  // destination node: for broadcast/multicast branches this
 	// is the *last* node of the branch per BRCP routing (§2.5.2)
-	Seq      int    // flit index within the packet; 0 is the header
-	PktLen   int    // total flits in the packet (header carries it)
-	PktID    uint64 // unique per packet (per broadcast branch)
-	MsgID    uint64 // unique per message (shared by branches of a broadcast)
-	Bits     uint64 // multicast bitstring: bit i = node at hop distance i+1 is a target
-	Payload  uint32 // data word (body/tail)
-	Remain   int    // BcastChain: how many nodes are still to be served after this one
-	ChainCCW bool   // BcastChain: chain travels counter-clockwise
-	Gen      int64  // cycle the message was generated (for latency stats)
+	Seq      int32   // flit index within the packet; 0 is the header
+	PktLen   int32   // total flits in the packet (header carries it)
+	Payload  uint32  // data word (body/tail)
+	Remain   int32   // BcastChain: how many nodes are still to be served after this one
+	Kind     Kind    // 2-bit flit type (wire bits [1:0])
+	Traffic  Traffic // valid on header flits
+	ChainCCW bool    // BcastChain: chain travels counter-clockwise
 }
 
 // IsLast reports whether this flit terminates its packet.
@@ -103,12 +113,12 @@ func AppendPacket(dst []Flit, h Flit, length int) []Flit {
 	}
 	h.Kind = Header
 	h.Seq = 0
-	h.PktLen = length
+	h.PktLen = int32(length)
 	dst = append(dst, h)
 	for i := 1; i < length; i++ {
 		f := h
 		f.Kind = Body
-		f.Seq = i
+		f.Seq = int32(i)
 		f.Payload = uint32(i)
 		if i == length-1 {
 			f.Kind = Tail
@@ -128,11 +138,11 @@ func Validate(p []Flit) error {
 	if h.Kind != Header {
 		return fmt.Errorf("flit: first flit is %v, want header", h.Kind)
 	}
-	if h.PktLen != len(p) {
+	if int(h.PktLen) != len(p) {
 		return fmt.Errorf("flit: header PktLen %d != packet length %d", h.PktLen, len(p))
 	}
 	for i, f := range p {
-		if f.Seq != i {
+		if int(f.Seq) != i {
 			return fmt.Errorf("flit: flit %d has Seq %d", i, f.Seq)
 		}
 		if f.PktID != h.PktID {

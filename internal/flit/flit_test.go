@@ -4,7 +4,18 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// A flit must stay exactly one 64-byte cache line: the switch copies it by
+// value once per hop and lanes store it in contiguous slabs, so growing it
+// past 64 bytes turns every copy into a bulk-copy call and makes slots
+// straddle cache lines. Reordering fields or widening one fails here.
+func TestFlitIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Flit{}) = %d bytes, want 64", got)
+	}
+}
 
 func TestPacketStructure(t *testing.T) {
 	h := Flit{Src: 3, Dst: 9, Traffic: Unicast, PktID: 42, MsgID: 7, Gen: 100}
@@ -153,10 +164,10 @@ func TestWireRoundTripProperty(t *testing.T) {
 		f := Flit{
 			Kind:    Header,
 			Traffic: Traffic(tr % 4),
-			Src:     int(src % MaxNodes),
-			Dst:     int(dst % MaxNodes),
-			PktLen:  int(plen%(MaxPktLen-1)) + 2,
-			Remain:  int(remain),
+			Src:     int32(src % MaxNodes),
+			Dst:     int32(dst % MaxNodes),
+			PktLen:  int32(plen%(MaxPktLen-1)) + 2,
+			Remain:  int32(remain),
 		}
 		w, err := EncodeWire(f)
 		if err != nil {

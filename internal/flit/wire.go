@@ -85,13 +85,13 @@ func DecodeWire(w uint64) (Flit, error) {
 		if w>>29&0x3 != 0 {
 			return Flit{}, fmt.Errorf("flit: reserved header bits set in %#x", w)
 		}
-		f.Dst = int(w >> 2 & 0x3F)
-		f.Src = int(w >> 8 & 0x3F)
-		f.PktLen = int(w >> 14 & 0x3F)
+		f.Dst = int32(w >> 2 & 0x3F)
+		f.Src = int32(w >> 8 & 0x3F)
+		f.PktLen = int32(w >> 14 & 0x3F)
 		if f.PktLen < 2 {
 			return Flit{}, fmt.Errorf("flit: header packet length %d < 2", f.PktLen)
 		}
-		f.Remain = int(w >> 20 & 0xFF)
+		f.Remain = int32(w >> 20 & 0xFF)
 		f.ChainCCW = w>>28&1 != 0
 		f.Traffic = Traffic(w >> 31 & 0x7)
 		if f.Traffic > BcastChain {
@@ -145,14 +145,14 @@ func DecodePacket(words []uint64) ([]Flit, error) {
 		if err != nil {
 			return nil, err
 		}
-		f.Seq = i
+		f.Seq = int32(i)
 		p[i] = f
 	}
 	h := &p[0]
 	if h.Kind != Header {
 		return nil, fmt.Errorf("flit: first word is %v, want header", p[0].Kind)
 	}
-	if h.PktLen != len(words) {
+	if int(h.PktLen) != len(words) {
 		return nil, fmt.Errorf("flit: header PktLen %d != %d words", h.PktLen, len(words))
 	}
 	for i := 1; i < len(p); i++ {

@@ -96,7 +96,7 @@ func (r *Receiver) Clock(s Signals, f flit.Flit) bool {
 		r.err = fmt.Errorf("link: lane changed mid-frame")
 		return false
 	}
-	if !r.Lanes[r.lane].Push(f) {
+	if !r.Lanes[r.lane].PushPtr(&f) {
 		r.err = fmt.Errorf("link: write into full lane %d", r.lane)
 		return false
 	}

@@ -26,10 +26,11 @@ func TestTransferWholePacket(t *testing.T) {
 		t.Fatalf("lane 0 holds %d flits, want 8", r.Lanes[0].Len())
 	}
 	for i := 0; i < 8; i++ {
-		f, _ := r.Lanes[0].Pop()
-		if f.Seq != i {
-			t.Fatalf("flit %d out of order (seq %d)", i, f.Seq)
+		f := r.Lanes[0].Head()
+		if f == nil || int(f.Seq) != i {
+			t.Fatalf("flit %d missing or out of order (%v)", i, f)
 		}
+		r.Lanes[0].Drop()
 	}
 	if r.Lanes[1].Len() != 0 {
 		t.Fatal("lane 1 received spurious flits")
@@ -45,7 +46,8 @@ func TestBackPressureStallsSender(t *testing.T) {
 	received := 0
 	cycles, err := Transfer(s, r, 1000, func(c int) {
 		if c%3 == 2 {
-			if _, ok := r.Lanes[1].Pop(); ok {
+			if !r.Lanes[1].Empty() {
+				r.Lanes[1].Drop()
 				received++
 			}
 		}
@@ -219,7 +221,8 @@ func TestSignalModelMatchesCreditModel(t *testing.T) {
 					sigTrace = append(sigTrace, cyc)
 				}
 				if cyc%2 == 1 {
-					if _, popped := r.Lanes[0].Pop(); popped {
+					if !r.Lanes[0].Empty() {
+						r.Lanes[0].Drop()
 						got++
 					}
 				}

@@ -58,10 +58,10 @@ func outFor(d topology.MeshDir) int {
 // internal/topology.
 func Route(m topology.Mesh) router.RouteFunc {
 	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+		if int(f.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
-		d, _ := m.Step(node, f.Dst)
+		d, _ := m.Step(node, int(f.Dst))
 		return router.Decision{Out: outFor(d)}
 	}
 }
@@ -220,7 +220,7 @@ func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
 	}
 	msgID := a.fab.NextMsgID()
 	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
+		Traffic: flit.Unicast, Src: int32(a.Node), Dst: int32(dst),
 		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 	}
 	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
@@ -237,7 +237,7 @@ func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
 			continue
 		}
 		h := flit.Flit{
-			Traffic: flit.Unicast, Src: a.Node, Dst: d,
+			Traffic: flit.Unicast, Src: int32(a.Node), Dst: int32(d),
 			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		a.Enqueue(0, h, msgLen)

@@ -85,14 +85,16 @@ func (q *PacketQueue) PushFront(p []flit.Flit) {
 	q.pkts[at] = p
 }
 
-// NextFlit peeks at the next flit to inject.
+// NextFlit returns a pointer to the next flit to inject, or nil when the
+// queue is empty. The flit stays in place (and the pointer valid) until
+// Advance consumes it.
 //
 //quarc:hotpath
-func (q *PacketQueue) NextFlit() (flit.Flit, bool) {
+func (q *PacketQueue) NextFlit() *flit.Flit {
 	if q.head == len(q.pkts) {
-		return flit.Flit{}, false
+		return nil
 	}
-	return q.pkts[q.head][q.pos], true
+	return &q.pkts[q.head][q.pos]
 }
 
 // Advance consumes the peeked flit.
@@ -150,7 +152,7 @@ type Assembler struct {
 
 type partialPkt struct {
 	pkt uint64
-	got int
+	got int32
 }
 
 // Add consumes one delivered flit and reports whether it completed a packet
@@ -159,7 +161,7 @@ type partialPkt struct {
 //quarc:hotpath
 func (a *Assembler) Add(f flit.Flit) bool {
 	at := -1
-	got := 0
+	got := int32(0)
 	for i := range a.partial {
 		if a.partial[i].pkt == f.PktID {
 			at, got = i, a.partial[i].got
@@ -262,8 +264,8 @@ func (b *BaseAdapter) EnqueueFront(qi int, h flit.Flit, length int) {
 func (b *BaseAdapter) Feed(now int64) {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		f, ok := q.NextFlit()
-		if !ok {
+		f := q.NextFlit()
+		if f == nil {
 			continue
 		}
 		if b.R.Push(b.InjPorts[qi], 0, f) {
@@ -281,7 +283,7 @@ func (b *BaseAdapter) Feed(now int64) {
 func (b *BaseAdapter) FeedBlocked() bool {
 	for qi := range b.Queues {
 		q := &b.Queues[qi]
-		if _, ok := q.NextFlit(); !ok {
+		if q.NextFlit() == nil {
 			continue
 		}
 		if b.R.LaneFree(b.InjPorts[qi], 0) > 0 {
@@ -383,7 +385,7 @@ func (b *BaseAdapter) SendMulticastFanout(fab *Fabric, qi int, targets []int, ms
 			}
 		}
 		h := flit.Flit{
-			Traffic: flit.Unicast, Src: b.Node, Dst: d,
+			Traffic: flit.Unicast, Src: int32(b.Node), Dst: int32(d),
 			PktID: fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		b.Enqueue(qi, h, msgLen)

@@ -35,7 +35,7 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 				q.PushBack(p)
 			}
 		default:
-			if _, ok := q.NextFlit(); ok {
+			if q.NextFlit() != nil {
 				q.Advance()
 			}
 		}
@@ -45,7 +45,7 @@ func TestPacketQueueBacklogCounter(t *testing.T) {
 	}
 	// Drain completely; the counter must land exactly on zero.
 	for {
-		if _, ok := q.NextFlit(); !ok {
+		if q.NextFlit() == nil {
 			break
 		}
 		q.Advance()
@@ -68,7 +68,7 @@ func BenchmarkAssemblerBroadcastReceive(b *testing.B) {
 	// worst case for lookup.
 	pkts := make([][]flit.Flit, sources)
 	for s := range pkts {
-		pkts[s] = flit.Packet(flit.Flit{Src: s, PktID: uint64(s) + 1}, msgLen)
+		pkts[s] = flit.Packet(flit.Flit{Src: int32(s), PktID: uint64(s) + 1}, msgLen)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -103,7 +103,7 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 	var a Assembler
 	pkts := make([][]flit.Flit, sources)
 	for s := range pkts {
-		pkts[s] = flit.Packet(flit.Flit{Src: s, PktID: uint64(s) + 1}, msgLen)
+		pkts[s] = flit.Packet(flit.Flit{Src: int32(s), PktID: uint64(s) + 1}, msgLen)
 	}
 	round := uint64(0)
 	deliverRound := func() {

@@ -26,6 +26,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 
@@ -183,6 +184,10 @@ func New(routers []*router.Router, wires [][]OutputWire, injStart []int) *Fabric
 	n := len(routers)
 	if len(wires) != n || len(injStart) != n {
 		panic("network: inconsistent fabric tables")
+	}
+	if n-1 > math.MaxInt32 {
+		// Flits carry node ids as int32 (flit.Flit's cache-line layout).
+		panic(fmt.Sprintf("network: %d nodes exceed the int32 node ids flits carry", n))
 	}
 	f := &Fabric{
 		N:          n,
@@ -521,7 +526,7 @@ func (f *Fabric) applyMoves(list []int) {
 				if f.Trace != nil {
 					f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Deliver,
 						Node: node, Out: -1, VC: -1,
-						PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: m.Flit.Seq})
+						PktID: m.Flit.PktID, MsgID: m.Flit.MsgID, Seq: int(m.Flit.Seq)})
 				}
 				f.Adapters[node].Receive(m.Flit, f.cycle)
 			}
@@ -532,7 +537,9 @@ func (f *Fabric) applyMoves(list []int) {
 			if w.Sink {
 				continue // shared ejection port: consumed by the PE
 			}
-			g := m.Flit
+			// The move's copy is scratch from here on: adjust it in place
+			// and push it by reference.
+			g := &m.Flit
 			if m.In < f.injStart[node] {
 				// Multicast bitstrings are hop-indexed: forwarding from a
 				// network input moves the stream one hop, so the hardware
@@ -544,7 +551,7 @@ func (f *Fabric) applyMoves(list []int) {
 			if f.Trace != nil {
 				f.Trace.Record(trace.Event{Cycle: f.cycle, Kind: trace.Forward,
 					Node: node, Out: m.Out, VC: m.OutVC,
-					PktID: g.PktID, MsgID: g.MsgID, Seq: g.Seq})
+					PktID: g.PktID, MsgID: g.MsgID, Seq: int(g.Seq)})
 			}
 			if !f.Routers[w.Dst.Node].Push(w.Dst.Port, m.OutVC, g) {
 				//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build

@@ -100,7 +100,7 @@ func Route(n int) router.RouteFunc {
 			// Minimal crossbar: no eject path. Unicast never terminates
 			// here (offsets strictly beyond n/2) and broadcast streams skip
 			// the antipode on this branch.
-			if f.Dst == node {
+			if int(f.Dst) == node {
 				panic(fmt.Sprintf("quarc: packet to %d arrived on the cross-cw input", node))
 			}
 			return router.Decision{Out: RimCWOut}
@@ -122,7 +122,7 @@ func Route(n int) router.RouteFunc {
 // rimDecision implements the absorb-and-forward ingress multiplexer for
 // ports with an eject path.
 func rimDecision(node, out int, f flit.Flit) router.Decision {
-	if f.Dst == node {
+	if int(f.Dst) == node {
 		// Last node of the stream: absorb, do not forward.
 		return router.Decision{Out: router.NoOutput, Eject: true}
 	}

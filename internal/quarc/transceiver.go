@@ -73,11 +73,13 @@ func (p *PacketPortQueue) pushFront(pkt []flit.Flit, port int) {
 	p.pending += len(pkt)
 }
 
-func (p *PacketPortQueue) next() (flit.Flit, int, bool) {
+// next returns the next flit to inject (nil when empty), in place, and the
+// injection port it takes.
+func (p *PacketPortQueue) next() (*flit.Flit, int) {
 	if len(p.items) == 0 {
-		return flit.Flit{}, 0, false
+		return nil, 0
 	}
-	return p.items[0].pkt[p.pos], p.items[0].port, true
+	return &p.items[0].pkt[p.pos], p.items[0].port
 }
 
 func (p *PacketPortQueue) advance() {
@@ -119,8 +121,8 @@ func (t *Transceiver) Feed(now int64) {
 		t.BaseAdapter.Feed(now)
 		return
 	}
-	f, port, ok := t.single.next()
-	if !ok {
+	f, port := t.single.next()
+	if f == nil {
 		return
 	}
 	if t.R.Push(port, 0, f) {
@@ -135,8 +137,8 @@ func (t *Transceiver) FeedBlocked() bool {
 	if !t.cfg.SingleQueue {
 		return t.BaseAdapter.FeedBlocked()
 	}
-	_, port, ok := t.single.next()
-	if !ok {
+	f, port := t.single.next()
+	if f == nil {
 		return true
 	}
 	return t.R.LaneFree(port, 0) == 0
@@ -180,7 +182,7 @@ func (t *Transceiver) SendUnicast(dst, msgLen int, now int64) uint64 {
 	}
 	msgID := t.fab.NextMsgID()
 	h := flit.Flit{
-		Traffic: flit.Unicast, Src: t.Node, Dst: dst,
+		Traffic: flit.Unicast, Src: int32(t.Node), Dst: int32(dst),
 		PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
 	}
 	t.fab.Tracker.Register(msgID, network.ClassUnicast, t.Node, now, 1)
@@ -201,7 +203,7 @@ func (t *Transceiver) SendBroadcast(msgLen int, now int64) uint64 {
 	}
 	for _, b := range topology.QuarcBroadcastBranches(t.n, t.Node) {
 		h := flit.Flit{
-			Traffic: flit.Broadcast, Src: t.Node, Dst: b.Last,
+			Traffic: flit.Broadcast, Src: int32(t.Node), Dst: int32(b.Last),
 			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		t.enqueue(h, msgLen, b.Q)
@@ -222,7 +224,7 @@ func (t *Transceiver) SendMulticast(targets []int, msgLen int, now int64) uint64
 	t.fab.Tracker.Register(msgID, network.ClassMulticast, t.Node, now, expected)
 	for _, b := range brs {
 		h := flit.Flit{
-			Traffic: flit.Multicast, Src: t.Node, Dst: b.Last, Bits: b.Bits,
+			Traffic: flit.Multicast, Src: int32(t.Node), Dst: int32(b.Last), Bits: b.Bits,
 			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		t.enqueue(h, msgLen, b.Q)
@@ -236,8 +238,8 @@ func (t *Transceiver) sendChains(msgID uint64, msgLen int, now int64) {
 	for _, c := range topology.SpidergonBroadcastChains(t.n, t.Node) {
 		first := c.Nodes[0]
 		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: t.Node, Dst: first,
-			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
+			Traffic: flit.BcastChain, Src: int32(t.Node), Dst: int32(first),
+			Remain: int32(len(c.Nodes) - 1), ChainCCW: c.Dir == topology.CCW,
 			PktID: t.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		t.enqueue(h, msgLen, topology.QuadrantOf(t.n, t.Node, first))
@@ -257,11 +259,11 @@ func (t *Transceiver) onTail(f flit.Flit, now int64) {
 			next = topology.NextCW(t.n, t.Node)
 		}
 		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: t.Node, Dst: next,
+			Traffic: flit.BcastChain, Src: int32(t.Node), Dst: int32(next),
 			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
 			PktID: t.fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
 		}
-		t.enqueueFront(h, f.PktLen, topology.QuadrantOf(t.n, t.Node, next))
+		t.enqueueFront(h, int(f.PktLen), topology.QuadrantOf(t.n, t.Node, next))
 	}
 }
 

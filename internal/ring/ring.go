@@ -69,7 +69,7 @@ func dirTo(n, src, dst int) topology.Direction {
 // fixes the rim ring, and the packet stays on it until it ejects.
 func Route(n int) router.RouteFunc {
 	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+		if int(f.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
 		switch in {
@@ -78,7 +78,7 @@ func Route(n int) router.RouteFunc {
 		case RimCCWIn:
 			return router.Decision{Out: RimCCWOut}
 		case Inj:
-			if dirTo(n, node, f.Dst) == topology.CW {
+			if dirTo(n, node, int(f.Dst)) == topology.CW {
 				return router.Decision{Out: RimCWOut}
 			}
 			return router.Decision{Out: RimCCWOut}
@@ -224,7 +224,7 @@ func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
 	}
 	msgID := a.fab.NextMsgID()
 	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
+		Traffic: flit.Unicast, Src: int32(a.Node), Dst: int32(dst),
 		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 	}
 	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
@@ -241,7 +241,7 @@ func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
 			continue
 		}
 		h := flit.Flit{
-			Traffic: flit.Unicast, Src: a.Node, Dst: d,
+			Traffic: flit.Unicast, Src: int32(a.Node), Dst: int32(d),
 			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		a.Enqueue(0, h, msgLen)

@@ -27,6 +27,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"quarc/internal/buffer"
 	"quarc/internal/flit"
@@ -71,8 +72,8 @@ type Config struct {
 }
 
 type lane struct {
-	q      *buffer.FIFO
-	active bool // between header grant and tail departure
+	q      buffer.FIFO // ring carved from the router's flit slab
+	active bool        // between header grant and tail departure
 	dec    Decision
 	outVC  int
 	// Cached routing verdict for the packet whose header waits at this
@@ -89,9 +90,9 @@ type lane struct {
 }
 
 type inputPort struct {
-	lanes []lane
-	rr    int // VC arbiter pointer
-	snap  []int
+	lanes []lane // this port's run of Router.lanes
+	rr    int    // VC arbiter pointer
+	snap  []int  // this port's run of Router.snap
 }
 
 const noOwner = -1
@@ -114,25 +115,39 @@ type Move struct {
 }
 
 // Router is one switch instance.
+//
+// Storage is contiguous per switch: every lane record sits in one slice, and
+// every lane's flit ring is carved from one flit slab (lane k owns slots
+// [k*Depth, (k+1)*Depth)), so stepping a switch walks a few dense arrays
+// instead of chasing a heap object per lane.
 type Router struct {
 	cfg      Config
 	in       []inputPort
 	out      []outputPort
-	bids     []bid  // reused each cycle
-	granted  []bool // reused each cycle: per input, action taken
-	buffered int    // flits across all input lanes (O(1) quiescence report)
+	lanes    []lane   // all input lanes, port-major; inputPort.lanes are runs of it
+	snap     []int    // per-lane credit snapshot, indexed like lanes
+	bids     []bid    // reused each cycle
+	req      []uint64 // reused each cycle: per output, mask of requesting inputs
+	buffered int      // flits across all input lanes (O(1) quiescence report)
 	// frozenOcc is the buffered-flit count recorded by FrozenBlocked, the
 	// per-cycle occupancy integrand replayed for blocked-slept cycles.
 	frozenOcc uint64
 	stats     Stats
 }
 
+// bid is one input port's candidate for the crossbar this cycle. head
+// points at the flit in its lane's head slot (nil: the port presents
+// nothing); it stays valid for the whole Arbitrate call, which never pushes
+// or drops a flit.
 type bid struct {
 	in, lane int
 	dec      Decision
-	head     flit.Flit
-	valid    bool
+	head     *flit.Flit
 }
+
+// maxInputs bounds the input ports of one switch: the OPC keeps its
+// per-output request set in a uint64.
+const maxInputs = 64
 
 // New constructs a switch from its configuration.
 func New(cfg Config) *Router {
@@ -146,32 +161,45 @@ func New(cfg Config) *Router {
 	if len(cfg.InLanes) == 0 || cfg.NOut < 1 {
 		panic("router: switch needs inputs and outputs")
 	}
-	r := &Router{cfg: cfg}
-	r.in = make([]inputPort, len(cfg.InLanes))
-	for i, nl := range cfg.InLanes {
+	if len(cfg.InLanes) > maxInputs {
+		panic(fmt.Sprintf("router: %d input ports, at most %d supported", len(cfg.InLanes), maxInputs))
+	}
+	total := 0
+	for _, nl := range cfg.InLanes {
 		if nl < 1 {
 			panic("router: input port with no lanes")
 		}
-		p := &r.in[i]
-		p.lanes = make([]lane, nl)
-		p.snap = make([]int, nl)
-		for l := range p.lanes {
-			p.lanes[l].q = buffer.New(cfg.Depth)
-			p.lanes[l].outVC = -1
-		}
+		total += nl
+	}
+	r := &Router{cfg: cfg}
+	r.lanes = make([]lane, total)
+	r.snap = make([]int, total)
+	slab := make([]flit.Flit, total*cfg.Depth)
+	for k := range r.lanes {
+		lo, hi := k*cfg.Depth, (k+1)*cfg.Depth
+		r.lanes[k].q = buffer.Make(slab[lo:hi:hi])
+		r.lanes[k].outVC = -1
+	}
+	r.in = make([]inputPort, len(cfg.InLanes))
+	k := 0
+	for i, nl := range cfg.InLanes {
+		r.in[i].lanes = r.lanes[k : k+nl : k+nl]
+		r.in[i].snap = r.snap[k : k+nl : k+nl]
+		k += nl
 	}
 	r.out = make([]outputPort, cfg.NOut)
+	owners := make([]int, cfg.NOut*cfg.VCs)
+	for v := range owners {
+		owners[v] = noOwner
+	}
 	for o := range r.out {
-		r.out[o].owner = make([]int, cfg.VCs)
-		for v := range r.out[o].owner {
-			r.out[o].owner[v] = noOwner
-		}
+		r.out[o].owner = owners[o*cfg.VCs : (o+1)*cfg.VCs : (o+1)*cfg.VCs]
 		if cfg.Reach != nil {
 			r.out[o].reach = cfg.Reach[o]
 		}
 	}
 	r.bids = make([]bid, len(cfg.InLanes))
-	r.granted = make([]bool, len(cfg.InLanes))
+	r.req = make([]uint64, cfg.NOut)
 	return r
 }
 
@@ -188,14 +216,14 @@ func (r *Router) LaneFree(in, ln int) int { return r.in[in].lanes[ln].q.Free() }
 // LaneLen returns the occupancy of the given input lane.
 func (r *Router) LaneLen(in, ln int) int { return r.in[in].lanes[ln].q.Len() }
 
-// Push inserts a flit into an input lane (used by the upstream link and by
-// the network adapter for injection ports). It reports false when the lane
-// is full; callers must respect the credit/handshake and treat false as a
+// Push copies *f into an input lane (used by the upstream link and by the
+// network adapter for injection ports). It reports false when the lane is
+// full; callers must respect the credit/handshake and treat false as a
 // protocol violation.
 //
 //quarc:hotpath
-func (r *Router) Push(in, ln int, f flit.Flit) bool {
-	if !r.in[in].lanes[ln].q.Push(f) {
+func (r *Router) Push(in, ln int, f *flit.Flit) bool {
+	if !r.in[in].lanes[ln].q.PushPtr(f) {
 		return false
 	}
 	r.buffered++
@@ -216,12 +244,11 @@ func (r *Router) Quiescent() bool { return r.buffered == 0 }
 // puts a drained router to sleep: upstream routers keep reading the sleeping
 // router's snapshot as their credit view, so it must reflect the drained
 // state rather than whatever the last stepped cycle latched.
+//
+//quarc:hotpath
 func (r *Router) RefreshSnapshot() {
-	for i := range r.in {
-		p := &r.in[i]
-		for l := range p.lanes {
-			p.snap[l] = p.lanes[l].q.Free()
-		}
+	for k := range r.lanes {
+		r.snap[k] = r.lanes[k].q.Free()
 	}
 }
 
@@ -252,8 +279,8 @@ func (r *Router) FrozenBlocked(live []Downstream) bool {
 		p := &r.in[i]
 		for l := range p.lanes {
 			ln := &p.lanes[l]
-			head, ok := ln.q.Peek()
-			if !ok {
+			head := ln.q.Head()
+			if head == nil {
 				ln.frozen = false
 				continue
 			}
@@ -262,7 +289,7 @@ func (r *Router) FrozenBlocked(live []Downstream) bool {
 				// Dedicated ejection always succeeds: not blocked.
 				return false
 			}
-			b := bid{in: i, lane: l, dec: dec, head: head, valid: true}
+			b := bid{in: i, lane: l, dec: dec, head: head}
 			ok, _, cause := r.trySend(dec.Out, &b, live[dec.Out])
 			if ok {
 				return false
@@ -343,17 +370,8 @@ func (r *Router) Sent(out int) uint64 { return r.out[out].sent }
 //
 //quarc:hotpath
 func (r *Router) Snapshot() {
-	occ := 0
-	for i := range r.in {
-		p := &r.in[i]
-		for l := range p.lanes {
-			q := p.lanes[l].q
-			n := q.Len()
-			p.snap[l] = q.Cap() - n
-			occ += n
-		}
-	}
-	r.stats.OccupancySum += uint64(occ)
+	r.RefreshSnapshot()
+	r.stats.OccupancySum += uint64(r.buffered)
 	r.stats.Cycles++
 }
 
@@ -375,27 +393,27 @@ func (r *Router) reachable(o, in int) bool {
 }
 
 // bidFor runs the VC arbiter of one input port: select the lane presented to
-// the crossbar this cycle, filling b in place. An invalid bid leaves the
-// other fields stale — every reader gates on b.valid, and writing only the
-// flag keeps the empty-port case (the common one at low load) free of the
-// struct zeroing a by-value return would pay.
+// the crossbar this cycle, filling b in place with a reference to the lane's
+// head slot. An empty port only clears b.head — every reader gates on it,
+// and writing just the pointer keeps the empty-port case (the common one at
+// low load) free of the struct zeroing a by-value return would pay.
 //
 //quarc:hotpath
 func (r *Router) bidFor(i int, b *bid) {
 	p := &r.in[i]
 	n := len(p.lanes)
+	l := p.rr
 	for k := 0; k < n; k++ {
-		l := (p.rr + k) % n
-		ln := &p.lanes[l]
-		head, ok := ln.q.Peek()
-		if !ok {
-			continue
+		if head := p.lanes[l].q.Head(); head != nil {
+			b.in, b.lane, b.head = i, l, head
+			b.dec = r.laneDecision(i, l, head)
+			return
 		}
-		b.in, b.lane, b.head, b.valid = i, l, head, true
-		b.dec = r.laneDecision(i, l, head)
-		return
+		if l++; l == n {
+			l = 0
+		}
 	}
-	b.valid = false
+	b.head = nil
 }
 
 // laneDecision returns the routing decision governing the flit at the head of
@@ -403,7 +421,7 @@ func (r *Router) bidFor(i int, b *bid) {
 // (validated) route of the waiting header.
 //
 //quarc:hotpath
-func (r *Router) laneDecision(i, l int, head flit.Flit) Decision {
+func (r *Router) laneDecision(i, l int, head *flit.Flit) Decision {
 	ln := &r.in[i].lanes[l]
 	if ln.active {
 		return ln.dec
@@ -414,11 +432,11 @@ func (r *Router) laneDecision(i, l int, head flit.Flit) Decision {
 			r.cfg.Node, i, l, head.Kind))
 	}
 	if !ln.pendOK || ln.pendPkt != head.PktID {
-		dec := r.cfg.Route(r.cfg.Node, i, head)
+		dec := r.cfg.Route(r.cfg.Node, i, *head)
 		if dec.Out == NoOutput && !dec.Eject {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d in %d: decision with no action for %+v",
-				r.cfg.Node, i, head))
+				r.cfg.Node, i, *head))
 		}
 		if dec.Out == NoOutput && r.cfg.EjectPort != NoOutput {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
@@ -445,62 +463,75 @@ type Downstream interface {
 
 // Arbitrate computes this router's moves for the cycle. downstream maps each
 // output port to its credit view; nil entries mean "always has space" (used
-// for the shared ejection port, where the PE absorbs at link rate). The
-// returned moves reference flits still in their source lanes; the network
-// must call Commit exactly once with the same slice.
+// for the shared ejection port, where the PE absorbs at link rate). Each
+// move carries a copy of its flit, which is still in its source lane; the
+// network must call Commit exactly once with the same slice.
+//
+// The OPC master FSMs work on request masks: while bidding, each output
+// collects the set of inputs whose bid names it, and then grants the first
+// sendable input at or after its round-robin pointer by scanning that set
+// rotated to start at the pointer.
 //
 //quarc:hotpath
 func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
 	// VC arbitration: one candidate lane per input port.
-	nbids := 0
+	var bidding, eject uint64 // inputs presenting a flit; those with a pure-ejection decision
 	for i := range r.in {
-		r.bidFor(i, &r.bids[i])
-		if r.bids[i].valid {
-			nbids++
+		b := &r.bids[i]
+		r.bidFor(i, b)
+		if b.head == nil {
+			continue
+		}
+		bidding |= 1 << uint(i)
+		if o := b.dec.Out; o != NoOutput {
+			r.req[o] |= 1 << uint(i)
+		} else {
+			eject |= 1 << uint(i)
 		}
 	}
-	if nbids == 0 {
+	if bidding == 0 {
 		return moves // idle switch: nothing to arbitrate this cycle
 	}
 
-	granted := r.granted // per input: action taken this cycle
-	for i := range granted {
-		granted[i] = false
-	}
-
 	// Dedicated ejection (Quarc all-port absorb): decisions with no
-	// forwarding component need no OPC and always succeed.
-	if r.cfg.EjectPort == NoOutput {
-		for i := range r.bids {
-			b := &r.bids[i]
-			if b.valid && b.dec.Out == NoOutput && b.dec.Eject {
-				moves = append(moves, Move{In: b.in, Lane: b.lane, Out: NoOutput,
-					Deliver: true, Flit: b.head})
-				granted[b.in] = true
-				r.stats.Grants++
-			}
-		}
+	// forwarding component need no OPC and always succeed. (laneDecision
+	// admits pure-local decisions only on dedicated-ejection switches.)
+	granted := eject
+	for m := eject; m != 0; m &= m - 1 {
+		b := &r.bids[bits.TrailingZeros64(m)]
+		moves = appendMove(moves, b, NoOutput, 0, true)
+		r.stats.Grants++
 	}
 
-	// OPC arbitration per output port.
+	// OPC arbitration per output port: candidates in rotating order from rr.
+	nIn := uint(len(r.in))
+	inMask := uint64(1)<<nIn - 1
 	for o := range r.out {
+		req := r.req[o]
+		if req == 0 {
+			continue
+		}
+		r.req[o] = 0
 		op := &r.out[o]
-		nIn := len(r.in)
-		for k := 0; k < nIn; k++ {
-			i := (op.rr + k) % nIn
-			b := &r.bids[i]
-			if !b.valid || granted[i] || b.dec.Out != o {
-				continue
+		rr := uint(op.rr)
+		for rot := (req>>rr | req<<(nIn-rr)) & inMask; rot != 0; rot &= rot - 1 {
+			i := rr + uint(bits.TrailingZeros64(rot))
+			if i >= nIn {
+				i -= nIn
 			}
+			b := &r.bids[i]
 			ok, outVC, _ := r.trySend(o, b, downstream[o])
 			if !ok {
 				continue
 			}
-			moves = append(moves, Move{In: b.in, Lane: b.lane, Out: o, OutVC: outVC,
-				Deliver: b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject), Flit: b.head})
-			granted[i] = true
+			moves = appendMove(moves, b, o, outVC, b.dec.Clone || (o == r.cfg.EjectPort && b.dec.Eject))
+			granted |= 1 << i
 			r.stats.Grants++
-			op.rr = (i + 1) % nIn // master FSM moves on after serving a request
+			// The master FSM moves on after serving a request.
+			if i++; i == nIn {
+				i = 0
+			}
+			op.rr = int(i)
 			break
 		}
 	}
@@ -509,11 +540,9 @@ func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
 	// (the paper's times_up timeout). Failed bids are classified for the
 	// contention statistics: a bid that would have been sendable lost
 	// output arbitration; otherwise trySend names the blocking resource.
-	for i := range r.bids {
+	for m := bidding &^ granted; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		b := &r.bids[i]
-		if !b.valid || granted[i] {
-			continue
-		}
 		if b.dec.Out != NoOutput {
 			if ok, _, cause := r.trySend(b.dec.Out, b, downstream[b.dec.Out]); ok {
 				r.stats.Stalls[StallArbLost]++
@@ -521,10 +550,28 @@ func (r *Router) Arbitrate(downstream []Downstream, moves []Move) []Move {
 				r.stats.Stalls[cause]++
 			}
 		}
-		if len(r.in[i].lanes) > 1 {
-			r.in[i].rr = (b.lane + 1) % len(r.in[i].lanes)
+		if n := len(r.in[i].lanes); n > 1 {
+			r.in[i].rr = (b.lane + 1) % n
 		}
 	}
+	return moves
+}
+
+// appendMove appends the move of bid b, copying its flit straight from the
+// lane's head slot into the move's slot: the one copy a granted flit pays
+// inside the switch.
+//
+//quarc:hotpath
+func appendMove(moves []Move, b *bid, out, outVC int, deliver bool) []Move {
+	n := len(moves)
+	if n < cap(moves) {
+		moves = moves[:n+1]
+	} else {
+		moves = append(moves, Move{})
+	}
+	m := &moves[n]
+	m.In, m.Lane, m.Out, m.OutVC, m.Deliver = b.in, b.lane, out, outVC, deliver
+	m.Flit = *b.head
 	return moves
 }
 
@@ -568,7 +615,7 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 		// (the network pushes forwarded flits into lane[outVC]); injection
 		// ports have a single lane 0, matching the VC-0 start of the
 		// dateline discipline.
-		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, b.head)
+		vc = r.cfg.VCNext(r.cfg.Node, o, b.in, b.lane, *b.head)
 		if vc < 0 || vc >= r.cfg.VCs {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: VCNext returned %d", r.cfg.Node, vc))
@@ -583,21 +630,23 @@ func (r *Router) trySend(o int, b *bid, down Downstream) (bool, int, StallCause)
 	return true, vc, 0
 }
 
-// Commit applies previously computed moves: pops flits from their lanes,
-// updates FCU/OPC state, and returns the flits to forward. The network is
-// responsible for pushing forwarded flits into the downstream input lanes
-// and for delivering ejected copies.
+// Commit applies previously computed moves: retires each moved flit from
+// its lane (the move already holds its copy) and updates FCU/OPC state. The
+// network is responsible for pushing forwarded flits into the downstream
+// input lanes and for delivering ejected copies.
 //
 //quarc:hotpath
 func (r *Router) Commit(moves []Move) {
 	for mi := range moves {
 		m := &moves[mi]
+		f := &m.Flit
 		ln := &r.in[m.In].lanes[m.Lane]
-		f, ok := ln.q.Pop()
-		if !ok || f.PktID != m.Flit.PktID || f.Seq != m.Flit.Seq {
+		h := ln.q.Head()
+		if h == nil || h.PktID != f.PktID || h.Seq != f.Seq {
 			//quarc:allow hotpath: invariant-violation panic path, unreachable in a correct build
 			panic(fmt.Sprintf("router %d: commit desync at in %d lane %d", r.cfg.Node, m.In, m.Lane))
 		}
+		ln.q.Drop()
 		r.buffered--
 		// FCU bookkeeping: the lane remembers its packet's decision from
 		// header to tail, whether the packet is being forwarded or absorbed
@@ -607,7 +656,7 @@ func (r *Router) Commit(moves []Move) {
 			if ln.pendOK && ln.pendPkt == f.PktID {
 				ln.dec = ln.pendDec
 			} else {
-				ln.dec = r.cfg.Route(r.cfg.Node, m.In, f)
+				ln.dec = r.cfg.Route(r.cfg.Node, m.In, *f)
 			}
 			ln.pendOK = false
 			ln.outVC = m.OutVC

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"quarc/internal/flit"
+	"quarc/internal/rng"
 )
 
 // twoNodeLine builds two routers A -> B connected by one link: A input 0 is
@@ -46,7 +47,7 @@ func step(a, b *Router) []flit.Flit {
 	var delivered []flit.Flit
 	for _, m := range am {
 		if m.Out == 0 {
-			if !b.Push(0, m.OutVC, m.Flit) {
+			if !b.Push(0, m.OutVC, &m.Flit) {
 				panic("push failed")
 			}
 		}
@@ -60,14 +61,14 @@ func step(a, b *Router) []flit.Flit {
 }
 
 func pkt(id uint64, n, dst int) []flit.Flit {
-	return flit.Packet(flit.Flit{Src: 0, Dst: dst, PktID: id, MsgID: id}, n)
+	return flit.Packet(flit.Flit{Src: 0, Dst: int32(dst), PktID: id, MsgID: id}, n)
 }
 
 func TestSingleHopPipeline(t *testing.T) {
 	a, b := twoNodeLine(4)
 	p := pkt(1, 4, 1)
 	for _, f := range p {
-		if !a.Push(0, 0, f) {
+		if !a.Push(0, 0, &f) {
 			t.Fatal("push rejected")
 		}
 	}
@@ -79,7 +80,7 @@ func TestSingleHopPipeline(t *testing.T) {
 		t.Fatalf("delivered %d flits, want 4", len(got))
 	}
 	for i, f := range got {
-		if f.Seq != i {
+		if int(f.Seq) != i {
 			t.Fatalf("flit %d has seq %d (out of order)", i, f.Seq)
 		}
 	}
@@ -101,12 +102,12 @@ func TestBackPressureLimitsOccupancy(t *testing.T) {
 	// cannot move (its head is a header that routes to eject — but we never
 	// step B, so it just sits there).
 	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, blocker[0])
-	b.Push(0, 0, blocker[1])
+	b.Push(0, 0, &blocker[0])
+	b.Push(0, 0, &blocker[1])
 
 	p := pkt(1, 3, 1)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	a.Snapshot()
 	b.Snapshot()
@@ -122,7 +123,7 @@ func TestHeaderAllocatesVCBodyFollowsTailReleases(t *testing.T) {
 	a, b := twoNodeLine(4)
 	p := pkt(1, 3, 1)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	// Cycle 1: header moves, VC 0 owned by input 0 lane 0.
 	step(a, b)
@@ -145,10 +146,10 @@ func TestTwoPacketsInterleaveAcrossVCs(t *testing.T) {
 	a, b := twoNodeLine(8)
 	p0, p1 := pkt(1, 4, 1), pkt(2, 4, 1)
 	for _, f := range p0 {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range p1 {
-		a.Push(0, 1, f)
+		a.Push(0, 1, &f)
 	}
 	var got []uint64
 	for cyc := 0; cyc < 40 && len(got) < 8; cyc++ {
@@ -182,15 +183,15 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 	a, b := mk(0), mk(1)
 	// Fill B lane 0 so VC 0 has no credit.
 	blocker := pkt(9, 2, 1)
-	b.Push(0, 0, blocker[0])
-	b.Push(0, 0, blocker[1])
+	b.Push(0, 0, &blocker[0])
+	b.Push(0, 0, &blocker[1])
 
 	p0, p1 := pkt(1, 3, 1), pkt(2, 3, 1)
 	for _, f := range p0 {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range p1 {
-		a.Push(0, 1, f)
+		a.Push(0, 1, &f)
 	}
 	moved := false
 	for cyc := 0; cyc < 6; cyc++ {
@@ -204,7 +205,7 @@ func TestVCArbiterSwitchesOnBlock(t *testing.T) {
 					t.Fatal("blocked packet moved")
 				}
 				moved = true
-				b.Push(0, m.OutVC, m.Flit)
+				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 	}
@@ -226,10 +227,10 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 		Route:     func(node, in int, f flit.Flit) Decision { return Decision{Out: NoOutput, Eject: true} },
 		VCNext:    vcf})
 	for _, f := range pkt(1, 6, 9) {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	for _, f := range pkt(2, 6, 9) {
-		a.Push(1, 0, f)
+		a.Push(1, 0, &f)
 	}
 	var order []uint64
 	for cyc := 0; cyc < 30 && len(order) < 12; cyc++ {
@@ -240,7 +241,7 @@ func TestOutputArbitrationIsFair(t *testing.T) {
 		for _, m := range am {
 			if m.Out == 0 {
 				order = append(order, m.Flit.PktID)
-				sink.Push(0, m.OutVC, m.Flit)
+				sink.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 		sm := sink.Arbitrate([]Downstream{nil}, nil)
@@ -267,7 +268,7 @@ func TestReachabilityViolationPanics(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf,
 		Reach: [][]int{{}}, // output 0 reachable from nothing
 	})
-	r.Push(0, 0, pkt(1, 2, 5)[0])
+	r.Push(0, 0, &pkt(1, 2, 5)[0])
 	r.Snapshot()
 	defer func() {
 		if recover() == nil {
@@ -284,6 +285,7 @@ func TestConfigValidationPanics(t *testing.T) {
 		{VCs: 2, Depth: 1, InLanes: nil, NOut: 1},
 		{VCs: 2, Depth: 1, InLanes: []int{0}, NOut: 1},
 		{VCs: 2, Depth: 1, InLanes: []int{1}, NOut: 0},
+		{VCs: 2, Depth: 1, InLanes: make([]int, maxInputs+1), NOut: 1},
 	}
 	for i, cfg := range cases {
 		func() {
@@ -312,7 +314,7 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 		EjectPort: NoOutput, Route: route, VCNext: vcf})
 	p := pkt(1, 3, 9)
 	for _, f := range p {
-		a.Push(0, 0, f)
+		a.Push(0, 0, &f)
 	}
 	deliveredAtA := 0
 	arrivedAtB := 0
@@ -327,12 +329,204 @@ func TestCloneDeliversAndForwards(t *testing.T) {
 			}
 			if m.Out == 0 {
 				arrivedAtB++
-				b.Push(0, m.OutVC, m.Flit)
+				b.Push(0, m.OutVC, &m.Flit)
 			}
 		}
 	}
 	if deliveredAtA != 3 || arrivedAtB != 3 {
 		t.Fatalf("clone delivered %d / forwarded %d, want 3/3", deliveredAtA, arrivedAtB)
+	}
+}
+
+// creditTable is a downstream credit view with per-VC free counts.
+type creditTable []int
+
+func (c creditTable) CreditFree(vc int) int { return c[vc] }
+
+// refArbitrate is the OPC master FSM as a rotating scan: each output visits
+// inputs (rr+k) % nIn for k = 0..nIn-1 and grants the first that requests it
+// and can send. It reads the bids Arbitrate latched and the output pointers
+// as they were before the call, and returns the winner per output (-1 for
+// none) plus the stall counts the failed bids should be charged.
+func refArbitrate(r *Router, down []Downstream, outRR []int) ([]int, [numStallCauses]uint64) {
+	nIn := len(r.in)
+	granted := make([]bool, nIn)
+	for i := range r.bids {
+		if b := &r.bids[i]; b.head != nil && b.dec.Out == NoOutput {
+			granted[i] = true // dedicated ejection
+		}
+	}
+	win := make([]int, len(r.out))
+	for o := range r.out {
+		win[o] = -1
+		for k := 0; k < nIn; k++ {
+			i := (outRR[o] + k) % nIn
+			b := &r.bids[i]
+			if b.head == nil || granted[i] || b.dec.Out != o {
+				continue
+			}
+			if ok, _, _ := r.trySend(o, b, down[o]); ok {
+				win[o] = i
+				granted[i] = true
+				break
+			}
+		}
+	}
+	var stalls [numStallCauses]uint64
+	for i := range r.bids {
+		b := &r.bids[i]
+		if b.head == nil || granted[i] {
+			continue
+		}
+		if ok, _, cause := r.trySend(b.dec.Out, b, down[b.dec.Out]); ok {
+			stalls[StallArbLost]++
+		} else {
+			stalls[cause]++
+		}
+	}
+	return win, stalls
+}
+
+// The bitmask OPC grants exactly what the rotating scan grants, for every
+// round-robin pointer (the nIn-1 wrap included), on full and Reach-restricted
+// crossbars, with the same pointer updates and stall classification.
+func TestBitmaskOPCMatchesRotatingScan(t *testing.T) {
+	rnd := rng.New(2009, 0)
+	for trial := 0; trial < 300; trial++ {
+		nIn := 1 + rnd.Intn(12)
+		nOut := 1 + rnd.Intn(4)
+		restricted := trial%2 == 1
+		var reach [][]int
+		if restricted {
+			reach = make([][]int, nOut)
+			for o := range reach {
+				for i := 0; i < nIn; i++ {
+					if rnd.Intn(3) != 0 {
+						reach[o] = append(reach[o], i)
+					}
+				}
+			}
+		}
+		allowed := func(o, i int) bool {
+			if reach == nil {
+				return true
+			}
+			for _, x := range reach[o] {
+				if x == i {
+					return true
+				}
+			}
+			return false
+		}
+		inLanes := make([]int, nIn)
+		for i := range inLanes {
+			inLanes[i] = 1 + rnd.Intn(2)
+		}
+		// Header Dst names the requested output (nOut = pure ejection);
+		// Remain names the downstream VC it asks for.
+		route := func(node, in int, f flit.Flit) Decision {
+			if int(f.Dst) == nOut {
+				return Decision{Out: NoOutput, Eject: true}
+			}
+			return Decision{Out: int(f.Dst)}
+		}
+		vcf := func(node, out, in, cur int, f flit.Flit) int { return int(f.Remain) }
+		r := New(Config{Node: 0, VCs: 2, Depth: 2, InLanes: inLanes, NOut: nOut,
+			EjectPort: NoOutput, Route: route, VCNext: vcf, Reach: reach})
+		for i := 0; i < nIn; i++ {
+			for l := 0; l < inLanes[i]; l++ {
+				if rnd.Intn(4) == 0 {
+					continue // empty lane
+				}
+				var outs []int
+				for o := 0; o < nOut; o++ {
+					if allowed(o, i) {
+						outs = append(outs, o)
+					}
+				}
+				dst := nOut
+				if len(outs) > 0 && rnd.Intn(8) != 0 {
+					dst = outs[rnd.Intn(len(outs))]
+				}
+				h := flit.Flit{Kind: flit.Header, Dst: int32(dst), Remain: int32(rnd.Intn(2)),
+					PktID: uint64(trial*64 + i*2 + l + 1), PktLen: 2}
+				r.Push(i, l, &h)
+			}
+		}
+		down := make([]Downstream, nOut)
+		for o := range down {
+			down[o] = creditTable{rnd.Intn(2), rnd.Intn(2)}
+			if rnd.Intn(3) == 0 {
+				r.out[o].owner[rnd.Intn(2)] = 15*16 + 15 // VC held by a foreign lane
+			}
+		}
+		r.Snapshot()
+		inRR := make([]int, nIn)
+		for i := range inRR {
+			inRR[i] = rnd.Intn(inLanes[i])
+		}
+		for rr := 0; rr < nIn; rr++ {
+			outRR := make([]int, nOut)
+			for o := range outRR {
+				outRR[o] = (rr + o) % nIn
+				r.out[o].rr = outRR[o]
+			}
+			for i := range inRR {
+				r.in[i].rr = inRR[i]
+			}
+			r.stats = Stats{}
+			moves := r.Arbitrate(down, nil)
+			win, stalls := refArbitrate(r, down, outRR)
+			got := make([]int, nOut)
+			for o := range got {
+				got[o] = -1
+			}
+			ejected := 0
+			for _, m := range moves {
+				if m.Out == NoOutput {
+					ejected++
+					continue
+				}
+				got[m.Out] = m.In
+			}
+			for o := range win {
+				if got[o] != win[o] {
+					t.Fatalf("trial %d rr %d out %d: bitmask granted %d, scan grants %d",
+						trial, rr, o, got[o], win[o])
+				}
+				wantRR := outRR[o]
+				if win[o] >= 0 {
+					wantRR = (win[o] + 1) % nIn
+				}
+				if r.out[o].rr != wantRR {
+					t.Fatalf("trial %d rr %d out %d: pointer %d, want %d", trial, rr, o, r.out[o].rr, wantRR)
+				}
+			}
+			if r.stats.Stalls != stalls || r.stats.Grants != uint64(len(moves)) {
+				t.Fatalf("trial %d rr %d: stalls %v grants %d, want %v / %d moves",
+					trial, rr, r.stats.Stalls, r.stats.Grants, stalls, len(moves))
+			}
+			for i := range r.bids {
+				b := &r.bids[i]
+				lost := b.head != nil && b.dec.Out != NoOutput && win[b.dec.Out] != i
+				wantIn := inRR[i]
+				if lost && inLanes[i] > 1 {
+					wantIn = (b.lane + 1) % inLanes[i]
+				}
+				if r.in[i].rr != wantIn {
+					t.Fatalf("trial %d rr %d in %d: VC pointer %d, want %d", trial, rr, i, r.in[i].rr, wantIn)
+				}
+			}
+			wantEject := 0
+			for i := range r.bids {
+				if r.bids[i].head != nil && r.bids[i].dec.Out == NoOutput {
+					wantEject++
+				}
+			}
+			if ejected != wantEject {
+				t.Fatalf("trial %d rr %d: %d ejections, want %d", trial, rr, ejected, wantEject)
+			}
+		}
 	}
 }
 
@@ -343,8 +537,8 @@ func BenchmarkTwoNodeForwarding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p[0].PktID = uint64(i + 1)
 		p[1].PktID = uint64(i + 1)
-		a.Push(0, 0, p[0])
-		a.Push(0, 0, p[1])
+		a.Push(0, 0, &p[0])
+		a.Push(0, 0, &p[1])
 		for a.LaneLen(0, 0) > 0 || bb.LaneLen(0, 0) > 0 {
 			step(a, bb)
 		}

@@ -59,7 +59,7 @@ const link2VCs = 2
 // in their direction; cross arrivals choose the shorter remaining rim arc.
 func Route(n int) router.RouteFunc {
 	return func(node, in int, f flit.Flit) router.Decision {
-		if f.Dst == node {
+		if int(f.Dst) == node {
 			return router.Decision{Out: Eject, Eject: true}
 		}
 		switch in {
@@ -68,12 +68,12 @@ func Route(n int) router.RouteFunc {
 		case RimCCWIn:
 			return router.Decision{Out: RimCCWOut}
 		case CrossIn:
-			if topology.Offset(n, node, f.Dst) <= n/2 {
+			if topology.Offset(n, node, int(f.Dst)) <= n/2 {
 				return router.Decision{Out: RimCWOut}
 			}
 			return router.Decision{Out: RimCCWOut}
 		case Inj:
-			switch topology.SpidergonRoute(n, node, f.Dst) {
+			switch topology.SpidergonRoute(n, node, int(f.Dst)) {
 			case topology.SpiCW:
 				return router.Decision{Out: RimCWOut}
 			case topology.SpiCCW:
@@ -187,7 +187,7 @@ func (a *Adapter) SendUnicast(dst, msgLen int, now int64) uint64 {
 	}
 	msgID := a.fab.NextMsgID()
 	h := flit.Flit{
-		Traffic: flit.Unicast, Src: a.Node, Dst: dst,
+		Traffic: flit.Unicast, Src: int32(a.Node), Dst: int32(dst),
 		PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 	}
 	a.fab.Tracker.Register(msgID, network.ClassUnicast, a.Node, now, 1)
@@ -204,8 +204,8 @@ func (a *Adapter) SendBroadcast(msgLen int, now int64) uint64 {
 	a.fab.Tracker.Register(msgID, network.ClassBroadcast, a.Node, now, a.n-1)
 	for _, c := range topology.SpidergonBroadcastChains(a.n, a.Node) {
 		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: a.Node, Dst: c.Nodes[0],
-			Remain: len(c.Nodes) - 1, ChainCCW: c.Dir == topology.CCW,
+			Traffic: flit.BcastChain, Src: int32(a.Node), Dst: int32(c.Nodes[0]),
+			Remain: int32(len(c.Nodes) - 1), ChainCCW: c.Dir == topology.CCW,
 			PktID: a.fab.NextPktID(), MsgID: msgID, Gen: now,
 		}
 		a.Enqueue(0, h, msgLen)
@@ -231,13 +231,13 @@ func (a *Adapter) onTail(f flit.Flit, now int64) {
 			next = topology.NextCW(a.n, a.Node)
 		}
 		h := flit.Flit{
-			Traffic: flit.BcastChain, Src: a.Node, Dst: next,
+			Traffic: flit.BcastChain, Src: int32(a.Node), Dst: int32(next),
 			Remain: f.Remain - 1, ChainCCW: f.ChainCCW,
 			PktID: a.fab.NextPktID(), MsgID: f.MsgID, Gen: f.Gen,
 		}
 		// The switch-created packet takes precedence over PE traffic on the
 		// single injection channel.
-		a.EnqueueFront(0, h, f.PktLen)
+		a.EnqueueFront(0, h, int(f.PktLen))
 	}
 }
 
